@@ -34,7 +34,6 @@ func TestCLIFixturesFail(t *testing.T) {
 		pass    string
 	}{
 		{"determinism", "[determinism]"},
-		{"keycoverage", "[keycoverage]"},
 		{"syncmisuse", "[syncmisuse]"},
 		{"floatorder", "[floatorder]"},
 		{"droppederr", "[droppederr]"},
@@ -90,7 +89,7 @@ func TestCLIList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit %d", code)
 	}
-	for _, pass := range []string{"determinism", "keycoverage", "syncmisuse", "floatorder", "droppederr"} {
+	for _, pass := range []string{"determinism", "syncmisuse", "floatorder", "droppederr", "wirecoverage"} {
 		if !strings.Contains(stdout, pass) {
 			t.Errorf("-list output missing %s:\n%s", pass, stdout)
 		}

@@ -74,8 +74,8 @@ func ParsePredictor(s string) (PredictorKind, error) {
 }
 
 // Config parameterizes the runtime controller. The zero value disables
-// it. All fields are plain values: the struct rides the cluster wire
-// verbatim and runner.KeyFor fingerprints every field, so adaptive runs
+// it. All fields are plain values, so the struct is part of the run's
+// canonical encoding (config.Encode) like every other knob: adaptive runs
 // never collide with static ones (or with differently tuned adaptive
 // ones) in the memo cache, the disk store, or the fleet.
 type Config struct {

@@ -66,7 +66,7 @@ const (
 // task is one enqueued simulation, addressed by its content key.
 type task struct {
 	id        string
-	spec      Spec
+	spec      []byte // canonical encoding (config.Encode)
 	state     taskState
 	worker    string    // current lessee (taskLeased)
 	deadline  time.Time // lease expiry (taskLeased)
@@ -193,7 +193,7 @@ func (c *Coordinator) Draining() bool {
 // attempts, ctx ends, or the coordinator drains. Runs that cannot be
 // serialized fall back to local execution.
 func (c *Coordinator) Execute(ctx context.Context, m config.Machine, r config.Run) (*metrics.Report, string, error) {
-	spec, key, ok := EncodeSpec(m, r)
+	spec, key, ok := runner.SpecFor(m, r)
 	if !ok {
 		rep, err := c.opts.Local(ctx, m, r)
 		return rep, runner.SourceSimulated, err
@@ -219,7 +219,7 @@ func (c *Coordinator) Execute(ctx context.Context, m config.Machine, r config.Ru
 
 // enqueue registers a task for key, coalescing onto an identical
 // unsettled task if one exists.
-func (c *Coordinator) enqueue(id string, spec Spec) (*task, error) {
+func (c *Coordinator) enqueue(id string, spec []byte) (*task, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
@@ -589,9 +589,4 @@ func maxDuration(a, b time.Duration) time.Duration {
 		return a
 	}
 	return b
-}
-
-// errProto builds a protocol error.
-func errProto(format string, args ...any) error {
-	return fmt.Errorf("cluster: "+format, args...)
 }

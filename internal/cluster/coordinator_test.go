@@ -63,7 +63,7 @@ func TestCoordinatorExecuteRoundTrip(t *testing.T) {
 	go func() {
 		defer close(done)
 		task := leaseOne(t, c, "w1", 2*time.Second)
-		gotM, gotR, err := task.Spec.DecodeSpec()
+		gotM, gotR, err := config.Decode(task.Spec)
 		if err != nil {
 			t.Errorf("decode: %v", err)
 			return

@@ -7,10 +7,11 @@
 //
 // Correctness model:
 //
-//   - Content addressing: a task's ID is runner.KeyFor's SHA-256 of the
-//     full (Machine, Run) input. Workers recompute the key from the
-//     decoded task and refuse on mismatch, so a wire-format field that
-//     stops round-tripping turns into a loud error, never a silently
+//   - Content addressing: a task's spec is the canonical encoding of its
+//     (Machine, Run) input (config.Encode) and its ID is runner.KeyFor's
+//     SHA-256 of those same bytes. Workers decode the spec, recompute the
+//     key from the decoded input, and refuse on mismatch, so an input
+//     that stops round-tripping turns into a loud error, never a silently
 //     different simulation.
 //   - At-least-once + idempotent: a lease that expires (worker crash,
 //     partition, slow machine) is reassigned, so one task may execute on
@@ -32,11 +33,9 @@
 package cluster
 
 import (
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/cpu"
+	"encoding/json"
+
 	"repro/internal/metrics"
-	"repro/internal/runner"
 )
 
 // Wire paths (mounted on icrd's mux; see Coordinator.Handler).
@@ -101,8 +100,10 @@ type Task struct {
 	Attempt int `json:"attempt"`
 	// LeaseMS is the lease duration granted with this task.
 	LeaseMS int64 `json:"lease_ms"`
-	// Spec is the serialized simulation input.
-	Spec Spec `json:"spec"`
+	// Spec is the simulation input in its canonical encoding
+	// (config.Encode): the very bytes ID hashes. Workers decode it with
+	// config.Decode.
+	Spec json.RawMessage `json:"spec"`
 }
 
 // RenewRequest extends a lease mid-execution.
@@ -138,102 +139,3 @@ type CompleteRequest struct {
 // CompleteResponse acknowledges the upload (idempotent: completing an
 // already-settled or unknown task also acknowledges).
 type CompleteResponse struct{}
-
-// Spec serializes one (config.Machine, config.Run) pair. The wire structs
-// embed the real configuration structs so every serializable field —
-// including ones added after this package was written — rides along
-// automatically; only the unserializable members (function hooks, the
-// HintPolicy interface) are shadowed out and, where meaningful, re-encoded
-// explicitly. The worker-side key recomputation (see Task.ID) guards the
-// remaining drift surface at runtime.
-type Spec struct {
-	Machine wireMachine `json:"machine"`
-	Run     wireRun     `json:"run"`
-}
-
-// wireCPU is cpu.Config with the function hooks shadowed out. The shadow
-// fields reuse the embedded fields' names so encoding/json resolves the
-// conflict to the (serializable) outer field at every depth.
-type wireCPU struct {
-	cpu.Config
-	EachCycle *struct{} `json:"EachCycle,omitempty"`
-	Halt      *struct{} `json:"Halt,omitempty"`
-}
-
-// wireMachine is config.Machine with the CPU replaced by its wire form.
-type wireMachine struct {
-	config.Machine
-	CPU wireCPU `json:"CPU"`
-}
-
-// wireRun is config.Run with the HintPolicy interface replaced by a tagged
-// union of the known implementations.
-type wireRun struct {
-	config.Run
-	Hints *wireHints `json:"Hints,omitempty"`
-}
-
-// Hint-policy kinds on the wire.
-const (
-	hintsAll    = "all"
-	hintsRanges = "ranges"
-)
-
-// wireHints encodes the known core.HintPolicy implementations.
-type wireHints struct {
-	Kind string `json:"kind"`
-	// Ranges carries the *core.RangePolicy payload for Kind "ranges".
-	Ranges *core.RangePolicy `json:"ranges,omitempty"`
-}
-
-// EncodeSpec serializes a simulation input and returns its content
-// address. ok is false when the input cannot go on the wire — it carries a
-// function hook or an unknown HintPolicy — exactly the runs runner.KeyFor
-// refuses to fingerprint; such runs must execute locally.
-func EncodeSpec(m config.Machine, r config.Run) (Spec, runner.Key, bool) {
-	key, ok := runner.KeyFor(m, r)
-	if !ok {
-		return Spec{}, runner.Key{}, false
-	}
-	var hints *wireHints
-	switch pol := r.Hints.(type) {
-	case nil:
-	case core.ReplicateAll:
-		hints = &wireHints{Kind: hintsAll}
-	case *core.RangePolicy:
-		if pol != nil {
-			hints = &wireHints{Kind: hintsRanges, Ranges: pol}
-		}
-	default:
-		// Unreachable while KeyFor and this switch list the same
-		// implementations, but a new policy added to one and not the
-		// other must degrade to local execution, not a mis-encoded task.
-		return Spec{}, runner.Key{}, false
-	}
-	return Spec{
-		Machine: wireMachine{Machine: m, CPU: wireCPU{Config: m.CPU}},
-		Run:     wireRun{Run: r, Hints: hints},
-	}, key, true
-}
-
-// DecodeSpec reconstructs the simulation input from its wire form.
-func (s Spec) DecodeSpec() (config.Machine, config.Run, error) {
-	m := s.Machine.Machine
-	m.CPU = s.Machine.CPU.Config
-	r := s.Run.Run
-	r.Hints = nil
-	if h := s.Run.Hints; h != nil {
-		switch h.Kind {
-		case hintsAll:
-			r.Hints = core.ReplicateAll{}
-		case hintsRanges:
-			if h.Ranges == nil {
-				return config.Machine{}, config.Run{}, errProto("hints kind %q without payload", h.Kind)
-			}
-			r.Hints = h.Ranges
-		default:
-			return config.Machine{}, config.Run{}, errProto("unknown hints kind %q", h.Kind)
-		}
-	}
-	return m, r, nil
-}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -15,15 +16,25 @@ func baseInputs() (config.Machine, config.Run) {
 	return config.Default(), config.NewRun("vpr", core.BaseP())
 }
 
-// fakePolicy is a HintPolicy the wire format does not know about.
-type fakePolicy struct{}
-
-func (fakePolicy) Hint(uint64) core.Hint { return core.Hint{} }
+// leaseRoundTrip ships a spec the way a lease does — inside a Task,
+// through JSON — and decodes it the way the worker does.
+func leaseRoundTrip(t *testing.T, spec []byte) (config.Machine, config.Run, error) {
+	t.Helper()
+	buf, err := json.Marshal(LeaseResponse{Task: Task{ID: "t", Spec: spec}})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var got LeaseResponse
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	return config.Decode(got.Task.Spec)
+}
 
 // TestSpecRoundTrip pushes representative inputs through the full wire
-// path — EncodeSpec, JSON marshal, JSON unmarshal, DecodeSpec — and
-// requires the decoded input to hash to the original content key and to
-// reconstruct the original values. This is the property the whole cluster
+// path — runner.SpecFor, the lease JSON, config.Decode — and requires the
+// decoded input to hash to the original content key and to reconstruct
+// the original (normalized) values. This is the property the whole cluster
 // rests on: a spec that does not round-trip would simulate a different
 // configuration than the coordinator addressed.
 func TestSpecRoundTrip(t *testing.T) {
@@ -60,7 +71,7 @@ func TestSpecRoundTrip(t *testing.T) {
 			m.CPU.IssueWidth = 2
 		}},
 		{"hints-replicate-all", func(m *config.Machine, r *config.Run) {
-			r.Hints = core.ReplicateAll{}
+			r.Hints = core.NewRangePolicy()
 		}},
 		{"hints-ranges", func(m *config.Machine, r *config.Run) {
 			r.Hints = core.NewRangePolicy(
@@ -79,123 +90,88 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m, r := baseInputs()
 			tc.mut(&m, &r)
-			wantKey, ok := runner.KeyFor(m, r)
+			spec, wantKey, ok := runner.SpecFor(m, r)
 			if !ok {
-				t.Fatal("KeyFor rejected wire-safe inputs")
+				t.Fatal("SpecFor rejected wire-safe inputs")
 			}
-
-			spec, key, ok := EncodeSpec(m, r)
-			if !ok {
-				t.Fatal("EncodeSpec rejected wire-safe inputs")
-			}
-			if key != wantKey {
-				t.Fatalf("EncodeSpec key %s, KeyFor %s", key, wantKey)
-			}
-
-			buf, err := json.Marshal(spec)
+			gotM, gotR, err := leaseRoundTrip(t, spec)
 			if err != nil {
-				t.Fatalf("marshal: %v", err)
+				t.Fatalf("Decode: %v", err)
 			}
-			var decodedSpec Spec
-			if err := json.Unmarshal(buf, &decodedSpec); err != nil {
-				t.Fatalf("unmarshal: %v", err)
-			}
-			gotM, gotR, err := decodedSpec.DecodeSpec()
-			if err != nil {
-				t.Fatalf("DecodeSpec: %v", err)
-			}
-
-			gotKey, ok := runner.KeyFor(gotM, gotR)
-			if !ok {
-				t.Fatal("KeyFor rejected the decoded inputs")
-			}
-			if gotKey != wantKey {
+			if gotKey, ok := runner.KeyFor(gotM, gotR); !ok || gotKey != wantKey {
 				t.Fatalf("decoded inputs hash to %s, want %s (wire drift)", gotKey, wantKey)
 			}
-			if !reflect.DeepEqual(gotM, m) {
-				t.Errorf("machine did not round-trip:\n got %+v\nwant %+v", gotM, m)
-			}
-			if !reflect.DeepEqual(gotR, r) {
-				t.Errorf("run did not round-trip:\n got %+v\nwant %+v", gotR, r)
+			if want := r.Normalized(); !reflect.DeepEqual(gotM, m) || !reflect.DeepEqual(gotR, want) {
+				t.Errorf("input did not round-trip:\n got %+v %+v\nwant %+v %+v", gotM, gotR, m, want)
 			}
 		})
 	}
 }
 
-// TestEncodeSpecRefusesOpaqueInputs: inputs KeyFor cannot fingerprint
-// (function hooks, unknown hint policies) must be refused, not mis-encoded
-// — the coordinator falls back to local execution for them.
+// TestEncodeSpecRefusesOpaqueInputs: an input the key cannot fingerprint
+// (a function hook) has no spec either — the coordinator falls back to
+// local execution for it rather than shipping a run without its hook.
 func TestEncodeSpecRefusesOpaqueInputs(t *testing.T) {
 	t.Run("cpu-hook", func(t *testing.T) {
 		m, r := baseInputs()
 		m.CPU.EachCycle = func(uint64) {}
-		if _, _, ok := EncodeSpec(m, r); ok {
-			t.Fatal("EncodeSpec accepted a machine with a function hook")
-		}
-	})
-	t.Run("unknown-hint-policy", func(t *testing.T) {
-		m, r := baseInputs()
-		r.Hints = fakePolicy{}
-		if _, _, ok := EncodeSpec(m, r); ok {
-			t.Fatal("EncodeSpec accepted an unknown HintPolicy implementation")
+		if _, _, ok := runner.SpecFor(m, r); ok {
+			t.Fatal("SpecFor accepted a machine with a function hook")
 		}
 	})
 }
 
-// TestDecodeSpecRejectsMalformedHints: a tampered or version-skewed hints
-// union must decode to an error, never to a silently different policy.
+// TestDecodeSpecRejectsMalformedHints: a tampered or version-skewed hint
+// policy must decode to an error, never to a silently different policy.
 func TestDecodeSpecRejectsMalformedHints(t *testing.T) {
 	m, r := baseInputs()
 	r.Hints = core.NewRangePolicy(core.AddrRange{Start: 0, End: 4096})
-	spec, _, ok := EncodeSpec(m, r)
+	spec, _, ok := runner.SpecFor(m, r)
 	if !ok {
-		t.Fatal("EncodeSpec failed")
+		t.Fatal("SpecFor failed")
 	}
-
-	bad := spec
-	bad.Run.Hints = &wireHints{Kind: "telepathy"}
-	if _, _, err := bad.DecodeSpec(); err == nil {
-		t.Error("unknown hints kind decoded without error")
+	tamper := func(hints string) []byte {
+		var doc map[string]map[string]json.RawMessage
+		if err := json.Unmarshal(spec, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["Run"]["Hints"] = json.RawMessage(hints)
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-
-	bad = spec
-	bad.Run.Hints = &wireHints{Kind: hintsRanges} // payload missing
-	if _, _, err := bad.DecodeSpec(); err == nil {
-		t.Error("ranges kind without payload decoded without error")
+	for _, hints := range []string{
+		`"telepathy"`,                         // not a policy at all
+		`{"Kind":"ranges","Ranges":[]}`,       // a field the policy does not have
+		`{"Ranges":[{"Start":"0","End":64}]}`, // a mistyped range bound
+	} {
+		if _, _, err := leaseRoundTrip(t, tamper(hints)); err == nil {
+			t.Errorf("hints %s decoded without error", hints)
+		}
+	}
+	if _, _, err := config.Decode(append(append([]byte(nil), spec...), `{}`...)); err == nil {
+		t.Error("a spec with trailing data decoded without error")
 	}
 }
 
-// TestSpecWireShapeOmitsHooks pins the shadowing trick: the marshaled
-// spec must not contain the function-hook fields at all (they cannot be
-// marshaled) while still carrying the embedded config fields.
+// TestSpecWireShapeOmitsHooks pins the wire shape: the spec carries the
+// CPU config's data fields but not its function hooks, which are tagged
+// out of the canonical encoding.
 func TestSpecWireShapeOmitsHooks(t *testing.T) {
 	m, r := baseInputs()
-	spec, _, ok := EncodeSpec(m, r)
+	m.CPU.IssueWidth = 3
+	spec, _, ok := runner.SpecFor(m, r)
 	if !ok {
-		t.Fatal("EncodeSpec failed")
+		t.Fatal("SpecFor failed")
 	}
-	buf, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(buf, &top); err != nil {
-		t.Fatal(err)
-	}
-	var machine map[string]json.RawMessage
-	if err := json.Unmarshal(top["machine"], &machine); err != nil {
-		t.Fatal(err)
-	}
-	var cpuFields map[string]json.RawMessage
-	if err := json.Unmarshal(machine["CPU"], &cpuFields); err != nil {
-		t.Fatal(err)
-	}
-	for _, hook := range []string{"EachCycle", "Halt"} {
-		if _, present := cpuFields[hook]; present {
-			t.Errorf("marshaled CPU config carries hook field %s", hook)
+	for _, hook := range []string{`"EachCycle"`, `"Halt"`} {
+		if bytes.Contains(spec, []byte(hook)) {
+			t.Errorf("spec carries hook field %s", hook)
 		}
 	}
-	if _, present := cpuFields["IssueWidth"]; !present {
-		t.Error("marshaled CPU config lost its embedded data fields")
+	if !bytes.Contains(spec, []byte(`"IssueWidth":3`)) {
+		t.Error("spec lost the CPU config's data fields")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 )
@@ -228,7 +229,7 @@ func (w *Worker) leaseLoop(ctx context.Context) {
 // execute runs one leased task: decode, verify the content key, simulate
 // on the local runner under a renewed lease, upload the result.
 func (w *Worker) execute(ctx context.Context, task Task) {
-	m, r, err := task.Spec.DecodeSpec()
+	m, r, err := config.Decode(task.Spec)
 	if err != nil {
 		w.complete(ctx, CompleteRequest{
 			Worker: w.o.ID, Task: task.ID, Error: err.Error(),

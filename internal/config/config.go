@@ -87,8 +87,8 @@ type Run struct {
 	Energy energy.Params
 
 	// Hints, if non-nil, is the software replication-direction policy
-	// (core.HintPolicy; the paper's §6 future work).
-	Hints core.HintPolicy
+	// (the paper's §6 future work).
+	Hints *core.RangePolicy
 
 	// DupCacheKB, when > 0, attaches a separate Kim & Somani-style
 	// duplication cache of this many KB to the dL1 (the baseline the
@@ -209,6 +209,24 @@ func NewRun(benchmark string, scheme core.Scheme) Run {
 		WriteBufferEntries: 8,
 		Energy:             energy.DefaultParams(),
 	}
+}
+
+// Normalized fills every default the simulator applies before it runs:
+// the adaptive controller and the protected tier canonicalize (a disabled
+// block collapses to its zero value), a zero budget becomes
+// DefaultInstructions, and zero energy parameters become the CACTI-class
+// defaults. Runs that are equal after Normalized simulate identically, so
+// Encode — and with it every content address — is taken over this form.
+func (r Run) Normalized() Run {
+	r.Adapt = r.Adapt.Normalized()
+	r.TwoTier = r.TwoTier.Normalized()
+	if r.Instructions == 0 {
+		r.Instructions = DefaultInstructions
+	}
+	if r.Energy == (energy.Params{}) {
+		r.Energy = energy.DefaultParams()
+	}
+	return r
 }
 
 // Name returns a stable label for the run ("benchmark/scheme").

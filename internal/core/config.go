@@ -143,7 +143,7 @@ type Config struct {
 	// Hints, if non-nil, lets software direct replication per block: which
 	// blocks to exempt and how many replicas to keep (the paper's §6
 	// future work). Nil replicates everything at Repl.Replicas.
-	Hints HintPolicy
+	Hints *RangePolicy
 
 	// PrefetchIntoDead enables the competing use of dead lines from the
 	// prefetching literature the paper builds on (refs [14], [7]): a miss

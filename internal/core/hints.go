@@ -7,10 +7,10 @@ package core
 //
 // The hardware analogue is a pair of range registers (or page-table bits)
 // the software programs; the cache consults them before spending a
-// replication attempt. This file implements that interface plus an
-// address-range policy, which examples and the ablation harness use to
-// exempt streaming data (which has no reuse worth protecting) and to give
-// critical structures extra copies.
+// replication attempt. This file implements them as an address-range
+// policy, which examples and the ablation harness use to exempt streaming
+// data (which has no reuse worth protecting) and to give critical
+// structures extra copies.
 
 // Hint is a software directive for one block.
 type Hint struct {
@@ -21,22 +21,6 @@ type Hint struct {
 	Replicas int
 }
 
-// HintPolicy maps a block's base byte address to a Hint. Implementations
-// must be deterministic and cheap: the cache consults the policy on every
-// replication trigger.
-type HintPolicy interface {
-	Hint(addr uint64) Hint
-}
-
-// ReplicateAll is the default policy: replicate everything at the
-// configured count.
-type ReplicateAll struct{}
-
-var _ HintPolicy = ReplicateAll{}
-
-// Hint implements HintPolicy.
-func (ReplicateAll) Hint(uint64) Hint { return Hint{Replicate: true} }
-
 // AddrRange is a half-open byte-address range [Start, End).
 type AddrRange struct {
 	Start, End uint64
@@ -44,20 +28,21 @@ type AddrRange struct {
 }
 
 // RangePolicy applies the first matching range's hint, falling back to a
-// default. It models software-programmed range registers.
+// default. It models software-programmed range registers. It is plain
+// data, so a run carrying one still has a canonical encoding (and with it
+// a content address, a wire form, and a pool shape). The policy is
+// consulted on every replication trigger, so Hint stays cheap.
 type RangePolicy struct {
 	Ranges  []AddrRange
 	Default Hint
 }
-
-var _ HintPolicy = (*RangePolicy)(nil)
 
 // NewRangePolicy returns a RangePolicy that replicates by default.
 func NewRangePolicy(ranges ...AddrRange) *RangePolicy {
 	return &RangePolicy{Ranges: ranges, Default: Hint{Replicate: true}}
 }
 
-// Hint implements HintPolicy.
+// Hint returns the directive for the block at byte address addr.
 func (p *RangePolicy) Hint(addr uint64) Hint {
 	for _, r := range p.Ranges {
 		if addr >= r.Start && addr < r.End {

@@ -2,10 +2,12 @@ package core
 
 import "testing"
 
+// TestReplicateAllPolicy: a range policy with no ranges is the
+// replicate-all policy — every block replicates at the configured count.
 func TestReplicateAllPolicy(t *testing.T) {
-	h := ReplicateAll{}.Hint(0x1234)
+	h := NewRangePolicy().Hint(0x1234)
 	if !h.Replicate || h.Replicas != 0 {
-		t.Errorf("ReplicateAll hint = %+v", h)
+		t.Errorf("replicate-all hint = %+v", h)
 	}
 }
 

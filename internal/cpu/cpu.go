@@ -65,14 +65,16 @@ type Config struct {
 	RASDepth int
 
 	// EachCycle, if non-nil, is invoked once per simulated cycle (used by
-	// the fault-injection scheduler).
-	EachCycle func(now uint64)
+	// the fault-injection scheduler). The hooks are process-local: they
+	// are left out of the config's canonical encoding, and a config that
+	// sets one has no content address (runner.KeyFor refuses it).
+	EachCycle func(now uint64) `json:"-"`
 
 	// Halt, if non-nil, is polled once per cycle; when it reports true the
 	// run stops early with whatever has committed so far. The cancellable
 	// simulator entry point (sim.SimulateContext) installs an atomic-flag
 	// check here; the flag is set when the run's context is cancelled.
-	Halt func() bool
+	Halt func() bool `json:"-"`
 }
 
 // DefaultConfig returns the Table 1 core: 4-wide, RUU 16, LSQ 8, 4 integer

@@ -1,14 +1,11 @@
 // Package lint is icrvet's analysis engine: a standard-library-only static
 // analyzer (go/ast, go/parser, go/types) that enforces the repository's
-// determinism, concurrency, and pooling invariants. Nine passes run over
+// determinism, concurrency, and pooling invariants. Eight passes run over
 // the whole module, sharing one type-checked load and (for the
 // reachability-based passes) one static call graph:
 //
 //   - determinism: wall-clock time, global math/rand, and order-dependent
 //     map iteration in the simulation hot path
-//   - keycoverage: runner.KeyFor must reference every exported field of its
-//     input configuration structs (transitively), so a new config knob
-//     cannot silently alias distinct runs in the memo cache
 //   - syncmisuse: by-value copies of lock- or atomic-bearing structs, and
 //     64-bit atomics at 32-bit-unsafe struct offsets
 //   - floatorder: floating-point accumulation fed by map iteration order
@@ -18,9 +15,8 @@
 //     field is cross-run state contamination through the instance pool
 //   - allocfree: no allocation-inducing constructs in functions statically
 //     reachable from the simulator's steady-state loop
-//   - wirecoverage: config and report structs must be covered by all three
-//     codecs that have to agree (KeyFor, the metrics JSON schema, the
-//     cluster wire codec)
+//   - wirecoverage: every JSON-visible field of metrics.Report must appear
+//     in the committed report schema goldens
 //   - ctxflow: context.Context plumbing discipline in the serving and
 //     cluster layers
 //
@@ -111,13 +107,12 @@ type Pass struct {
 func Passes() []Pass {
 	return []Pass{
 		{Name: "determinism", Doc: "wall-clock, global rand, and map-order dependence in hot packages", Package: runDeterminism},
-		{Name: "keycoverage", Doc: "KeyFor must cover every exported config field", Module: runKeyCoverage},
 		{Name: "syncmisuse", Doc: "copied locks/atomics and misaligned 64-bit atomics", Package: runSyncMisuse},
 		{Name: "floatorder", Doc: "float accumulation in map-iteration order", Package: runFloatOrder},
 		{Name: "droppederr", Doc: "discarded error returns in cmd/ and the runner/store/serve/cluster layers", Package: runDroppedErr},
 		{Name: "resetcoverage", Doc: "pooled types must Reset every field or declare it persistent", Module: runResetCoverage},
 		{Name: "allocfree", Doc: "no allocation in functions reachable from the steady-state loop", Module: runAllocFree},
-		{Name: "wirecoverage", Doc: "key, wire, and schema codecs must cover every config/report field", Module: runWireCoverage},
+		{Name: "wirecoverage", Doc: "report fields appear in the schema goldens", Module: runWireCoverage},
 		{Name: "ctxflow", Doc: "context.Context plumbing discipline in serving and cluster layers", Package: runCtxFlow},
 	}
 }

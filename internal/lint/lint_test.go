@@ -10,44 +10,25 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from current analyzer output")
 
-// fixtureOpts maps each fixture to the options its golden run uses. The
-// fixtures lay their packages out on the real module's paths
+// fixtures lists the testdata modules with the pass each exists to trip
+// ("" for the multi-pass suppress fixture), so a pass that silently stops
+// firing fails loudly even if the golden is regenerated without looking.
+// The fixtures lay their packages out on the real module's paths
 // (internal/sim, cmd/, internal/runner), so every fixture runs with the
 // default scopes — exactly what `icrvet ./...` does.
-var fixtures = []string{
-	"determinism",
-	"keycoverage",
-	"syncmisuse",
-	"floatorder",
-	"droppederr",
-	"suppress",
-	"resetcoverage",
-	"resetnested",
-	"allocfree",
-	"allochot",
-	"wirecov",
-	"wireschema",
-	"ctxflow",
-	"ctxsleep",
-}
-
-// fixturePass names the pass each single-pass fixture exists to trip, so
-// a pass that silently stops firing fails loudly even if the golden is
-// regenerated without looking.
-var fixturePass = map[string]string{
-	"determinism":   "determinism",
-	"keycoverage":   "keycoverage",
-	"syncmisuse":    "syncmisuse",
-	"floatorder":    "floatorder",
-	"droppederr":    "droppederr",
-	"resetcoverage": "resetcoverage",
-	"resetnested":   "resetcoverage",
-	"allocfree":     "allocfree",
-	"allochot":      "allocfree",
-	"wirecov":       "wirecoverage",
-	"wireschema":    "wirecoverage",
-	"ctxflow":       "ctxflow",
-	"ctxsleep":      "ctxflow",
+var fixtures = []struct{ name, pass string }{
+	{"determinism", "determinism"},
+	{"syncmisuse", "syncmisuse"},
+	{"floatorder", "floatorder"},
+	{"droppederr", "droppederr"},
+	{"suppress", ""},
+	{"resetcoverage", "resetcoverage"},
+	{"resetnested", "resetcoverage"},
+	{"allocfree", "allocfree"},
+	{"allochot", "allocfree"},
+	{"wireschema", "wirecoverage"},
+	{"ctxflow", "ctxflow"},
+	{"ctxsleep", "ctxflow"},
 }
 
 // analyzeFixture runs all passes over one testdata module and renders the
@@ -73,13 +54,14 @@ func analyzeFixture(t *testing.T, name string) []string {
 // and that every fixture produces at least one finding (the fixtures exist
 // to prove the passes fire).
 func TestGolden(t *testing.T) {
-	for _, name := range fixtures {
+	for _, fx := range fixtures {
+		name, pass := fx.name, fx.pass
 		t.Run(name, func(t *testing.T) {
 			lines := analyzeFixture(t, name)
 			if len(lines) == 0 {
 				t.Fatalf("fixture %s produced no findings", name)
 			}
-			if pass := fixturePass[name]; pass != "" {
+			if pass != "" {
 				found := false
 				for _, l := range lines {
 					if strings.Contains(l, "["+pass+"]") {
@@ -141,8 +123,8 @@ func TestParseDirective(t *testing.T) {
 			passes: []string{"determinism"}, reason: "wall-clock seam"},
 		{text: "  icrvet:ignore droppederr,floatorder shared justification  ", ok: true,
 			passes: []string{"droppederr", "floatorder"}, reason: "shared justification"},
-		{text: "icrvet:ignore keycoverage multi word reason here", ok: true,
-			passes: []string{"keycoverage"}, reason: "multi word reason here"},
+		{text: "icrvet:ignore wirecoverage multi word reason here", ok: true,
+			passes: []string{"wirecoverage"}, reason: "multi word reason here"},
 
 		// Malformed directives.
 		{text: "icrvet:ignore", ok: true, wantErr: "missing pass name"},

@@ -93,7 +93,7 @@ func checkPooledType(a *Analysis, r *Reporter, named *types.Named, at token.Pos,
 			"pooled type %s has no Reset method: a pooled instance of it carries every field across runs", typeDisplay(named))
 		return
 	}
-	covered := coveredFields(reset.pkg, reset.decl)
+	covered := coveredFields(a, reset)
 
 	st := named.Underlying().(*types.Struct)
 	var missing []*types.Var

@@ -4,15 +4,6 @@ package runner
 
 import "os"
 
-// Args is the fixture's run configuration; KeyFor covers it fully so the
-// keycoverage pass stays quiet on this module.
-type Args struct {
-	Name string
-}
-
-// KeyFor fingerprints a run.
-func KeyFor(a Args) string { return a.Name }
-
 // Flush drops a write error.
 func Flush(path string, data []byte) {
 	os.WriteFile(path, data, 0o644) // want: discarded error

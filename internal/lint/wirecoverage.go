@@ -2,7 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"go/ast"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -11,307 +10,17 @@ import (
 	"strings"
 )
 
-// runWireCoverage verifies that the three codecs which must agree on the
-// configuration and report surface actually cover it, turning the runtime
-// drift tripwires into a static gate:
+// runWireCoverage verifies that every JSON-visible field of
+// metrics.Report (and the structs it nests) appears as a key in the
+// committed schema goldens (internal/metrics/testdata/report_schema*.json),
+// so a new counter cannot ship without the serving/storage schema test
+// seeing it.
 //
-//  1. The cluster wire codec: every field that is JSON-visible under
-//     cluster.Spec (after the wire wrappers' shadowing is resolved with
-//     encoding/json's embedding rules) must be statically JSON-encodable —
-//     a func-, chan-, or interface-typed field that leaks into the wire
-//     format would marshal as null or fail at runtime, on a worker, mid-
-//     sweep. Conversely every field the wrappers shadow OUT of the wire
-//     format must be referenced by EncodeSpec, DecodeSpec, or KeyFor: the
-//     codec has to either translate it (wireHints) or refuse to ship runs
-//     that set it (KeyFor's EachCycle/Halt nil-checks). An unreferenced
-//     shadowed field is a knob that silently vanishes in distributed runs.
-//  2. The metrics JSON schema: every JSON-visible field of metrics.Report
-//     (and the structs it nests) must appear as a key in the committed
-//     schema goldens (internal/metrics/testdata/report_schema*.json), so a
-//     new counter cannot ship without the serving/storage schema test
-//     seeing it.
-//
-// The third codec, KeyFor's hash coverage, is enforced field-by-field by
-// the keycoverage pass; this pass closes the loop by letting KeyFor
-// references double as the refusal gate for shadowed wire fields.
+// The config side needs no pass: config.Encode derives the memo key, the
+// cluster wire spec, and the instance-pool shape from one JSON encoding of
+// plain-data structs, and the runner's reflection tests pin that nothing
+// is left out of it.
 func runWireCoverage(a *Analysis, r *Reporter) {
-	refs := codecRefs(a)
-	wireLeg(a, r, refs)
-	schemaLeg(a, r)
-}
-
-// codecRefs unions the field references of every codec function — any
-// module-level EncodeSpec, DecodeSpec (method or function), or KeyFor —
-// gathered transitively through same-package helpers.
-func codecRefs(a *Analysis) map[string]bool {
-	refs := make(map[string]bool)
-	for _, pkg := range a.Mod.Packages {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				switch fd.Name.Name {
-				case "EncodeSpec", "DecodeSpec", keyFuncName:
-					for k := range coveredFields(pkg, fd) {
-						refs[k] = true
-					}
-				}
-			}
-		}
-	}
-	return refs
-}
-
-// wireSpecType locates the cluster wire codec's root struct.
-func wireSpecType(mod *Module) *types.Named {
-	pkg := mod.Lookup("internal/cluster")
-	if pkg == nil {
-		return nil
-	}
-	tn, ok := pkg.Types.Scope().Lookup("Spec").(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	named, ok := tn.Type().(*types.Named)
-	if !ok {
-		return nil
-	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return nil
-	}
-	return named
-}
-
-// wireLeg checks visibility and encodability under cluster.Spec.
-func wireLeg(a *Analysis, r *Reporter, refs map[string]bool) {
-	spec := wireSpecType(a.Mod)
-	if spec == nil {
-		return
-	}
-	seen := make(map[*types.Named]bool)
-	var visit func(named *types.Named)
-	visit = func(named *types.Named) {
-		if seen[named] {
-			return
-		}
-		seen[named] = true
-		winners, shadowed := jsonEffectiveFields(named)
-		for _, w := range winners {
-			if bad := unencodablePart(a.Mod, w.f.Type()); bad != "" {
-				r.Reportf(w.f.Pos(),
-					"field %s is JSON-visible under cluster.Spec but contains %s, which does not marshal; shadow it in the wire wrapper and refuse or translate it in the codec",
-					fieldKey(w.owner, w.f.Name()), bad)
-			}
-			for _, sub := range namedStructsIn(w.f.Type()) {
-				if inModule(a.Mod, sub) {
-					visit(sub)
-				}
-			}
-		}
-		for _, s := range shadowed {
-			if !refs[fieldKey(s.owner, s.f.Name())] {
-				r.Reportf(s.f.Pos(),
-					"field %s is shadowed out of the cluster wire format but no codec (EncodeSpec, DecodeSpec, KeyFor) references it: the knob would silently vanish on distributed runs; translate it or nil-check and refuse",
-					fieldKey(s.owner, s.f.Name()))
-			}
-		}
-	}
-	visit(spec)
-}
-
-// jsonField is one candidate field in a struct's JSON encoding.
-type jsonField struct {
-	name   string // wire name (tag name or Go name)
-	f      *types.Var
-	owner  *types.Named
-	depth  int
-	tagged bool
-}
-
-// jsonEffectiveFields resolves one struct's JSON field set under
-// encoding/json's embedding rules: fields of embedded structs promote one
-// depth down, the shallowest candidate for a name wins, a tagged candidate
-// beats untagged at equal depth, and a tie drops the name entirely (those
-// candidates are reported as shadowed too — they don't marshal).
-func jsonEffectiveFields(root *types.Named) (winners, shadowed []jsonField) {
-	byName := make(map[string][]jsonField)
-	var order []string
-	type item struct {
-		named *types.Named
-		depth int
-	}
-	queue := []item{{root, 0}}
-	visited := map[*types.Named]bool{root: true}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		st, ok := it.named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			tag := reflect.StructTag(st.Tag(i)).Get("json")
-			tagName, _, _ := strings.Cut(tag, ",")
-			if tagName == "-" {
-				continue
-			}
-			if f.Anonymous() && tagName == "" {
-				if sub := asNamedStruct(f.Type()); sub != nil {
-					if !visited[sub] {
-						visited[sub] = true
-						queue = append(queue, item{sub, it.depth + 1})
-					}
-					continue
-				}
-			}
-			if !f.Exported() {
-				continue
-			}
-			jf := jsonField{name: tagName, f: f, owner: it.named, depth: it.depth, tagged: tagName != ""}
-			if jf.name == "" {
-				jf.name = f.Name()
-			}
-			if _, ok := byName[jf.name]; !ok {
-				order = append(order, jf.name)
-			}
-			byName[jf.name] = append(byName[jf.name], jf)
-		}
-	}
-	for _, nm := range order {
-		cands := byName[nm]
-		minDepth := cands[0].depth
-		for _, c := range cands {
-			if c.depth < minDepth {
-				minDepth = c.depth
-			}
-		}
-		var atMin []jsonField
-		for _, c := range cands {
-			if c.depth == minDepth {
-				atMin = append(atMin, c)
-			}
-		}
-		winner := -1
-		if len(atMin) == 1 {
-			winner = 0
-		} else {
-			taggedAt := -1
-			taggedCount := 0
-			for i, c := range atMin {
-				if c.tagged {
-					taggedCount++
-					taggedAt = i
-				}
-			}
-			if taggedCount == 1 {
-				winner = taggedAt
-			}
-		}
-		for _, c := range cands {
-			if winner >= 0 && c == atMin[winner] {
-				winners = append(winners, c)
-			} else {
-				shadowed = append(shadowed, c)
-			}
-		}
-	}
-	return winners, shadowed
-}
-
-// unencodablePart returns a description of the first statically
-// un-marshalable component of t ("" when t is JSON-encodable). Interfaces
-// count as unencodable: even when the dynamic value would marshal, the
-// decoder cannot reconstruct it, so interface-typed knobs must be
-// translated through a concrete wire representation. In-module named
-// structs are skipped here — the wire walk visits them with the JSON
-// shadowing rules applied, so a wrapper's shadow fields are not
-// double-reported through the raw embedded struct.
-func unencodablePart(mod *Module, t types.Type) string {
-	return unencodableWalk(mod, t, make(map[types.Type]bool))
-}
-
-func unencodableWalk(mod *Module, t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named := asNamedStruct(t); named != nil && inModule(mod, named) {
-		return "" // visited separately with shadowing resolved
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		if u.Kind() == types.UnsafePointer || u.Kind() == types.Complex64 || u.Kind() == types.Complex128 {
-			return "a " + u.String() + " value"
-		}
-		return ""
-	case *types.Signature:
-		return "a func value"
-	case *types.Chan:
-		return "a channel"
-	case *types.Interface:
-		return "an interface value (the decoder cannot rebuild the dynamic type)"
-	case *types.Pointer:
-		return unencodableWalk(mod, u.Elem(), seen)
-	case *types.Slice:
-		return unencodableWalk(mod, u.Elem(), seen)
-	case *types.Array:
-		return unencodableWalk(mod, u.Elem(), seen)
-	case *types.Map:
-		if bad := unencodableWalk(mod, u.Elem(), seen); bad != "" {
-			return bad
-		}
-		return ""
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			f := u.Field(i)
-			tag := reflect.StructTag(u.Tag(i)).Get("json")
-			tagName, _, _ := strings.Cut(tag, ",")
-			if tagName == "-" || (!f.Exported() && !f.Anonymous()) {
-				continue
-			}
-			if bad := unencodableWalk(mod, f.Type(), seen); bad != "" {
-				return bad
-			}
-		}
-		return ""
-	}
-	return ""
-}
-
-// namedStructsIn collects the named struct types inside t (through
-// pointers, slices, arrays, and map values) for wire-walk descent.
-func namedStructsIn(t types.Type) []*types.Named {
-	var out []*types.Named
-	var walk func(t types.Type, depth int)
-	walk = func(t types.Type, depth int) {
-		if depth > 8 {
-			return
-		}
-		if named := asNamedStruct(t); named != nil {
-			out = append(out, named)
-			return
-		}
-		switch u := t.Underlying().(type) {
-		case *types.Pointer:
-			walk(u.Elem(), depth+1)
-		case *types.Slice:
-			walk(u.Elem(), depth+1)
-		case *types.Array:
-			walk(u.Elem(), depth+1)
-		case *types.Map:
-			walk(u.Elem(), depth+1)
-		}
-	}
-	walk(t, 0)
-	return out
-}
-
-// schemaLeg checks metrics.Report (and everything it nests) against the
-// committed schema goldens.
-func schemaLeg(a *Analysis, r *Reporter) {
 	pkg := a.Mod.Lookup("internal/metrics")
 	if pkg == nil {
 		return
@@ -346,21 +55,80 @@ func schemaLeg(a *Analysis, r *Reporter) {
 			return
 		}
 		seen[named] = true
-		winners, _ := jsonEffectiveFields(named)
-		for _, w := range winners {
+		for _, w := range jsonFields(named, 0) {
 			if !keys[w.name] {
 				r.Reportf(w.f.Pos(),
 					"field %s (JSON key %q) is missing from the schema goldens (%s): regenerate them so the schema test pins the new field",
 					fieldKey(w.owner, w.f.Name()), w.name, strings.Join(files, ", "))
 			}
-			for _, sub := range namedStructsIn(w.f.Type()) {
-				if inModule(a.Mod, sub) {
-					visit(sub)
-				}
+			if sub := elemStruct(w.f.Type()); sub != nil && inModule(a.Mod, sub) {
+				visit(sub)
 			}
 		}
 	}
 	visit(report)
+}
+
+// jsonField is one field of a struct's JSON encoding.
+type jsonField struct {
+	name  string // wire name (tag name or Go name)
+	f     *types.Var
+	owner *types.Named
+}
+
+// jsonFields lists the JSON-visible fields of a struct: exported fields
+// not tagged "-", named by their tag or Go name, with untagged embedded
+// structs flattened the way encoding/json promotes their fields. (Name
+// conflicts between promoted fields are not resolved: every candidate is
+// listed, which can only over-report.)
+func jsonFields(named *types.Named, depth int) []jsonField {
+	var out []jsonField
+	st := named.Underlying().(*types.Struct)
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		name, _, _ := strings.Cut(reflect.StructTag(st.Tag(i)).Get("json"), ",")
+		if name == "-" {
+			continue
+		}
+		if sub := asNamedStruct(f.Type()); sub != nil && f.Anonymous() && name == "" {
+			if depth < 8 {
+				out = append(out, jsonFields(sub, depth+1)...)
+			}
+			continue
+		}
+		if !f.Exported() {
+			continue
+		}
+		if name == "" {
+			name = f.Name()
+		}
+		out = append(out, jsonField{name: name, f: f, owner: named})
+	}
+	return out
+}
+
+// elemStruct unwraps pointers, slices, arrays, and map values down to a
+// named struct type for schema descent, or nil. The bound stops
+// self-referential element types.
+func elemStruct(t types.Type) *types.Named {
+	for range 8 {
+		if named := asNamedStruct(t); named != nil {
+			return named
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Slice:
+			t = u.Elem()
+		case *types.Array:
+			t = u.Elem()
+		case *types.Map:
+			t = u.Elem()
+		default:
+			return nil
+		}
+	}
+	return nil
 }
 
 // loadSchemaKeys reads every testdata/report_schema*.json under dir and

@@ -2,23 +2,22 @@ package runner
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/fault"
 )
 
 // FuzzKeyFor drives the content-address hash with fuzzer-chosen inputs and
-// single-field mutations, asserting the two properties memoization rests
-// on: equal inputs always hash equal (stability), and any observable input
-// difference hashes different (no collisions that would serve one run's
-// report for another's configuration).
+// single-field mutations, asserting the properties memoization and the
+// cluster wire rest on: equal inputs always hash equal (stability), any
+// observable input difference hashes different (no collisions that would
+// serve one run's report for another's configuration), and an input's
+// canonical bytes decode to an input with the same key.
 func FuzzKeyFor(f *testing.F) {
-	// One seed per mutation selector so the corpus exercises every arm.
+	// Seeds spread across the field walk (about 90 leaves).
 	for sel := uint8(0); sel < 24; sel++ {
-		f.Add(uint64(1_000_000), int64(1), sel, uint64(1))
+		f.Add(uint64(1_000_000), int64(1), sel*4, uint64(1))
 	}
 	f.Add(uint64(0), int64(-5), uint8(3), uint64(0))          // delta 0: no-op mutation
 	f.Add(uint64(1<<63), int64(1<<40), uint8(9), uint64(255)) // extreme values
@@ -38,12 +37,20 @@ func FuzzKeyFor(f *testing.F) {
 		}
 
 		m2, r2 := m1, cloneRun(r1)
-		mutateInput(&m2, &r2, sel, delta)
-		k2, ok := KeyFor(m2, r2)
+		mutateField(&m2, &r2, int(sel), delta)
+		spec, k2, ok := SpecFor(m2, r2)
 		if !ok {
 			t.Fatal("mutated inputs must stay memoizable")
 		}
-		same := reflect.DeepEqual(m1, m2) && reflect.DeepEqual(r1, r2)
+		// Round trip: a cluster worker addresses exactly what it was sent.
+		m3, r3, err := config.Decode(spec)
+		if k3, _ := KeyFor(m3, r3); err != nil || k3 != k2 {
+			t.Errorf("sel=%d delta=%d: key(decode(encode(x))) = %s (%v), key(x) = %s", sel, delta, k3, err, k2)
+		}
+
+		// Equality is judged on the normalized runs: inputs the simulator
+		// defaults to the same run must share a key.
+		same := reflect.DeepEqual(m1, m2) && reflect.DeepEqual(r1.Normalized(), r2.Normalized())
 		if same && k1 != k2 {
 			t.Errorf("sel=%d delta=%d: equal inputs hashed differently", sel, delta)
 		}
@@ -59,68 +66,4 @@ func cloneRun(r config.Run) config.Run {
 	cp := r
 	cp.Repl.Distances = append([]int(nil), r.Repl.Distances...)
 	return cp
-}
-
-// mutateInput applies one fuzzer-selected single-field change. delta == 0
-// leaves numeric fields untouched (the equal-inputs arm of the property);
-// boolean/enum arms derive their change from delta so the fuzzer controls
-// both directions.
-func mutateInput(m *config.Machine, r *config.Run, sel uint8, delta uint64) {
-	switch sel % 24 {
-	case 0:
-		r.Instructions += delta
-	case 1:
-		r.Seed += int64(delta)
-	case 2:
-		r.WriteBufferEntries += int(delta % 1024)
-	case 3:
-		r.Fault.Prob += float64(delta%1000) / 1000
-	case 4:
-		r.Fault.Seed += int64(delta)
-	case 5:
-		r.Fault.Model = fault.Model(delta % 4)
-	case 6:
-		r.Repl.DecayWindow += delta
-	case 7:
-		r.Repl.Replicas += int(delta % 8)
-	case 8:
-		r.Repl.Victim = core.VictimPolicy(delta % 4)
-	case 9:
-		r.Repl.Decay = core.DecayMode(delta % 2)
-	case 10:
-		if delta%2 == 1 {
-			r.Repl.LeaveReplicas = !r.Repl.LeaveReplicas
-		}
-	case 11:
-		r.Repl.Distances = append(r.Repl.Distances, int(delta%512))
-	case 12:
-		r.Benchmark += strings.Repeat("x", int(delta%4))
-	case 13:
-		schemes := core.AllSchemes()
-		r.Scheme = schemes[int(delta)%len(schemes)]
-	case 14:
-		if delta%2 == 1 {
-			r.WriteThrough = !r.WriteThrough
-		}
-	case 15:
-		if delta%2 == 1 {
-			r.Prefetch = !r.Prefetch
-		}
-	case 16:
-		r.Energy.L1Read += float64(delta%4096) / 256
-	case 17:
-		r.Energy.ECCFrac += float64(delta%100) / 100
-	case 18:
-		r.DupCacheKB += int(delta % 64)
-	case 19:
-		r.ScrubInterval += delta
-	case 20:
-		r.ScrubLines += int(delta % 16)
-	case 21:
-		m.DL1Assoc += int(delta % 8)
-	case 22:
-		m.MemLatency += delta
-	case 23:
-		m.CPU.RUUSize += int(delta % 64)
-	}
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -77,7 +78,7 @@ func TestMemoMissOnFieldChange(t *testing.T) {
 		{"WriteThrough", func(m *config.Machine, r *config.Run) { r.WriteThrough = true }},
 		{"Fault.Prob", func(m *config.Machine, r *config.Run) { r.Fault.Prob = 1e-3 }},
 		{"Energy.ParityFrac", func(m *config.Machine, r *config.Run) { r.Energy.ParityFrac += 0.01 }},
-		{"Hints", func(m *config.Machine, r *config.Run) { r.Hints = core.ReplicateAll{} }},
+		{"Hints", func(m *config.Machine, r *config.Run) { r.Hints = core.NewRangePolicy() }},
 		{"DupCacheKB", func(m *config.Machine, r *config.Run) { r.DupCacheKB = 2 }},
 		{"ScrubInterval", func(m *config.Machine, r *config.Run) { r.ScrubInterval = 100 }},
 		{"Prefetch", func(m *config.Machine, r *config.Run) { r.Prefetch = true }},
@@ -445,7 +446,8 @@ func TestMemoDisabled(t *testing.T) {
 }
 
 // TestMemoBypassForOpaqueInputs: runs whose behaviour hides behind a hook
-// or unknown policy execute every time rather than risking a wrong hit.
+// or that have no canonical encoding execute every time rather than
+// risking a wrong hit.
 func TestMemoBypassForOpaqueInputs(t *testing.T) {
 	fn, calls := countingSim()
 	r := newTestRunner(t, Options{Simulate: fn})
@@ -457,7 +459,7 @@ func TestMemoBypassForOpaqueInputs(t *testing.T) {
 		}
 	}
 	m2, run2 := baseInputs()
-	run2.Hints = opaqueHints{}
+	run2.Fault.Prob = math.Inf(1)
 	for i := 0; i < 2; i++ {
 		if _, err := r.Run(context.Background(), m2, run2); err != nil {
 			t.Fatal(err)

@@ -314,8 +314,8 @@ func (r *Runner) simulate(ctx context.Context, m config.Machine, run config.Run)
 	}
 	key, ok := KeyFor(m, run)
 	if !ok {
-		// Opaque inputs (function hooks, unknown hint policies) cannot be
-		// content-addressed; run uncached.
+		// Inputs without a canonical encoding (a cpu hook, a non-finite
+		// float) cannot be content-addressed; run uncached.
 		return r.exec(ctx, m, run)
 	}
 	for {

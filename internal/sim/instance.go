@@ -29,8 +29,7 @@ import (
 //
 //icrvet:pooled the shape-keyed arena handed out by instancePool
 type instance struct {
-	// shape is the pool key ("" = not poolable, e.g. a run carrying a
-	// HintPolicy).
+	// shape is the pool key ("" = not poolable).
 	shape string //icrvet:persistent the pool key itself: construction-determined, identical for every run sharing the instance
 
 	mem   *cache.Memory
@@ -45,49 +44,32 @@ type instance struct {
 	core  *cpu.Core         //icrvet:persistent reset separately in simulate: core.Reset needs the per-run cpu.Config and generator
 }
 
-// shapeOf fingerprints everything that determines an instance's
-// construction: the memory-hierarchy geometry and the dl1 configuration
-// knobs (scheme, replication, write policy, duplicate cache, prefetching).
-// Deliberately absent — absorbed by per-run resets — are the benchmark and
+// shapeOf is the pool key of the instance a run needs: the canonical
+// encoding (config.Encode) of the run with its per-run fields zeroed.
+// Those fields are the ones the per-run resets absorb — the benchmark and
 // seed (fresh generator each run), the instruction budget, sampling and
-// scrubbing parameters, fault injection, energy parameters
-// (meter.Reset takes new ones), and the whole cpu.Config (core.Reset
-// takes it wholesale). ok is false when the run cannot share an instance:
-// a HintPolicy is baked into the dl1 at construction and is an open
-// interface, so hinted runs always build fresh.
-func shapeOf(m config.Machine, r config.Run) (string, bool) {
-	if r.Hints != nil {
-		return "", false
-	}
-	// Scheme, Repl, Adapt, and TwoTier are fingerprinted wholesale (%+v
-	// covers every field, including the slice of distances) so a new knob
-	// on any of them can never silently collide two different
-	// constructions. The tier's fault config is zeroed first: the tier
-	// injector is per-run, exactly like the L1's, so differently-seeded
-	// injection runs still share an arena.
-	tt := r.TwoTier
-	tt.Fault = config.FaultConfig{}
-	return fmt.Sprintf("%d/%d/%d/%d|%d/%d/%d/%d|%d/%d/%d/%d|%d|%+v|%+v|%t/%d|%d|%t|%+v|%+v",
-		m.IL1Size, m.IL1Assoc, m.IL1Block, m.IL1Latency,
-		m.DL1Size, m.DL1Assoc, m.DL1Block, m.DL1Latency,
-		m.L2Size, m.L2Assoc, m.L2Block, m.L2Latency,
-		m.MemLatency,
-		r.Scheme, r.Repl,
-		r.WriteThrough, r.WriteBufferEntries,
-		r.DupCacheKB,
-		r.Prefetch,
-		r.Adapt,
-		tt,
-	), true
+// scrubbing parameters, both fault injectors, the energy parameters
+// (meter.Reset takes new ones), and the whole cpu.Config (core.Reset takes
+// it wholesale). Everything else shapes the construction, so a knob added
+// to the config lands in the shape by default: it can split the pool but
+// never collide two different constructions. A run with no encoding (a
+// non-finite float among the construction knobs) gets the empty shape,
+// which the pool never shares.
+func shapeOf(m config.Machine, r config.Run) string {
+	m.CPU = cpu.Config{}
+	r.Benchmark, r.Seed, r.Instructions = "", 0, 0
+	r.Sample = config.SampleConfig{}
+	r.ScrubInterval, r.ScrubLines = 0, 0
+	r.Fault, r.TwoTier.Fault = config.FaultConfig{}, config.FaultConfig{}
+	r.Energy = energy.Params{}
+	b, _ := config.Encode(m, r) // on error b is nil: the unshared empty shape
+	return string(b)
 }
 
 // newInstance assembles a machine for the given shape-determining inputs,
 // mirroring what Simulate historically built inline.
 func newInstance(m config.Machine, r config.Run) *instance {
-	shape, ok := shapeOf(m, r)
-	if !ok {
-		shape = ""
-	}
+	shape := shapeOf(m, r)
 
 	// Memory hierarchy, bottom up. The L2 is unified: both L1s miss into
 	// it, as in Table 1. When the run protects the second tier, a

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/adapt"
@@ -16,7 +17,7 @@ import (
 // identityMatrix covers every construction-relevant knob the instance pool
 // must absorb: schemes with and without replication/ECC, fault injection,
 // scrubbing, write-through with a buffer, the duplicate cache, prefetch,
-// decay variants, and sampled mode.
+// decay variants, sampled mode, and software hints.
 func identityMatrix() []config.Run {
 	machine := config.Default()
 	sets := machine.DL1Sets()
@@ -100,6 +101,13 @@ func identityMatrix() []config.Run {
 	r.TwoTier = config.TwoTier{Protect: core.ECCProt, ExtraLatency: 20}
 	runs = append(runs, r)
 
+	// A software-hinted run: the policy is baked into the dl1 at
+	// construction, so hinted runs pool by the policy's content.
+	r = config.NewRun("gzip", core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores))
+	r.Repl = repl
+	r.Hints = core.NewRangePolicy(core.AddrRange{Start: 0, End: 1 << 16, Hint: core.Hint{Replicate: false}})
+	runs = append(runs, r)
+
 	for i := range runs {
 		runs[i].Instructions = 120_000
 	}
@@ -118,9 +126,7 @@ func freshReport(t *testing.T, m config.Machine, r config.Run) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Energy == (energy.Params{}) {
-		r.Energy = energy.DefaultParams()
-	}
+	r = r.Normalized()
 	rep, err := newInstance(m, r).simulate(context.Background(), m, r, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -159,22 +165,22 @@ func TestPooledInstanceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShapeOf pins the poolability rules: hinted runs never pool, and any
-// construction-relevant knob must change the shape key.
+// TestShapeOf pins the poolability rules: every encodable run pools, any
+// construction-relevant knob must change the shape key, and per-run state
+// must not.
 func TestShapeOf(t *testing.T) {
 	m := config.Default()
 	base := config.NewRun("gzip", core.ICR(core.ParityProt, core.LookupSerial, core.ReplStores))
 
-	if _, ok := shapeOf(m, base); !ok {
+	s0 := shapeOf(m, base)
+	if s0 == "" {
 		t.Fatal("plain run should be poolable")
 	}
-	hinted := base
-	hinted.Hints = core.ReplicateAll{}
-	if _, ok := shapeOf(m, hinted); ok {
-		t.Error("hinted run must not be poolable")
+	// Per-run fields are zeroed before encoding, so a non-finite one
+	// cannot block pooling.
+	if shapeOf(m, config.Run{Fault: config.FaultConfig{Prob: math.NaN()}, Energy: energy.Params{L1Read: math.Inf(1)}}) == "" {
+		t.Error("a non-finite per-run float blocked pooling")
 	}
-
-	s0, _ := shapeOf(m, base)
 	mutants := []func(*config.Machine, *config.Run){
 		func(m *config.Machine, r *config.Run) { m.DL1Size *= 2 },
 		func(m *config.Machine, r *config.Run) { m.L2Latency++ },
@@ -197,11 +203,15 @@ func TestShapeOf(t *testing.T) {
 		func(m *config.Machine, r *config.Run) {
 			r.TwoTier = config.TwoTier{Protect: core.ECCProt, ExtraLatency: 20}
 		},
+		func(m *config.Machine, r *config.Run) { r.Hints = core.NewRangePolicy() },
+		func(m *config.Machine, r *config.Run) {
+			r.Hints = core.NewRangePolicy(core.AddrRange{Start: 0, End: 4096})
+		},
 	}
 	for i, mut := range mutants {
 		mm, rr := m, base
 		mut(&mm, &rr)
-		if s, _ := shapeOf(mm, rr); s == s0 {
+		if s := shapeOf(mm, rr); s == s0 {
 			t.Errorf("mutant %d did not change the shape key", i)
 		}
 	}
@@ -214,6 +224,7 @@ func TestShapeOf(t *testing.T) {
 		func(r *config.Run) { r.Fault = config.FaultConfig{Model: fault.Direct, Prob: 0.5, Seed: 3} },
 		func(r *config.Run) { r.ScrubInterval = 100 },
 		func(r *config.Run) { r.Sample = config.SampleConfig{Period: 1000} },
+		func(r *config.Run) { r.Energy.L1Read *= 2 },
 		// Tier fault injection is per-run state: differently-seeded
 		// injection runs must share one arena.
 		func(r *config.Run) { r.TwoTier.Fault = config.FaultConfig{Model: fault.Direct, Prob: 0.5, Seed: 3} },
@@ -221,7 +232,7 @@ func TestShapeOf(t *testing.T) {
 	for i, mut := range same {
 		rr := base
 		mut(&rr)
-		if s, _ := shapeOf(m, rr); s != s0 {
+		if s := shapeOf(m, rr); s != s0 {
 			t.Errorf("per-run mutant %d changed the shape key", i)
 		}
 	}
@@ -322,9 +333,8 @@ func TestPoolReuseAcrossNewKnobConfigs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := base, base
 			tc.mut(&b)
-			sa, okA := shapeOf(m, a)
-			sb, okB := shapeOf(m, b)
-			if !okA || !okB || sa != sb {
+			sa, sb := shapeOf(m, a), shapeOf(m, b)
+			if sa == "" || sa != sb {
 				t.Fatalf("configs must share a pool shape for this test to bite: %q vs %q", sa, sb)
 			}
 			wantA := freshReport(t, m, a)

@@ -57,26 +57,16 @@ func SimulateContext(ctx context.Context, m config.Machine, r config.Run) (*metr
 	if err := r.TwoTier.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	// Canonicalize before shapeOf so equal-after-defaulting configs share
-	// a pool shape.
-	r.Adapt = r.Adapt.Normalized()
-	r.TwoTier = r.TwoTier.Normalized()
-	if r.Instructions == 0 {
-		r.Instructions = config.DefaultInstructions
-	}
-	if r.Energy == (energy.Params{}) {
-		r.Energy = energy.DefaultParams()
-	}
+	// The same defaulting the canonical encoding applies, so runs that
+	// share a content address simulate the identical input.
+	r = r.Normalized()
 
-	shape, poolable := shapeOf(m, r)
-	inst := defaultPool.get(shape)
+	inst := defaultPool.get(shapeOf(m, r))
 	if inst == nil {
 		inst = newInstance(m, r)
 	}
 	rep, err := inst.simulate(ctx, m, r, gen)
-	if poolable {
-		defaultPool.put(inst)
-	}
+	defaultPool.put(inst)
 	return rep, err
 }
 

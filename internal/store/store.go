@@ -8,9 +8,10 @@
 //
 //   - Versioned format: every entry carries the container format version
 //     and the metrics.ReportSchemaVersion of its payload. A report-schema
-//     change (or a runner.KeyFor change, which rotates every key)
-//     invalidates old entries cleanly: they degrade to misses, never to
-//     wrong hits.
+//     change invalidates old entries cleanly: they degrade to misses,
+//     never to wrong hits. A key-encoding change (config.Encode or
+//     runner.KeyFor) needs no FormatVersion bump: it rotates every key, so
+//     old entries are simply never looked up again.
 //   - Atomic writes: entries are written to a temp file in the store
 //     directory, fsynced, and renamed into place, so a crash mid-write
 //     can never leave a half-visible entry.
